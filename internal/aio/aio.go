@@ -3,8 +3,9 @@
 // Reads happen at the granularity of an I/O unit (128KB per disk in all of
 // the paper's experiments) and the engine specifies a prefetch depth: how
 // many I/O units are issued at once when reading a file. There is no
-// buffer pool; the interface hands the scanner a buffer containing one I/O
-// unit's worth of file data.
+// buffer pool of cached pages; the interface hands the scanner a buffer
+// containing one I/O unit's worth of file data, and only the empty
+// buffers themselves are recycled between readers.
 //
 // Two backends implement the interface. SimReader pairs the real file
 // bytes with the simdisk timing model and a sim process, so a scan does
@@ -23,12 +24,22 @@ import (
 )
 
 // Reader delivers a file's contents as a sequence of I/O-unit buffers.
+//
+// Ownership: the buffer Next returns is the consumer's only until the
+// following Next or Close. After that the reader reuses it — OSReader
+// refills it, and at Close returns it to a process-wide pool from which
+// another query's reader will take it — so a consumer must copy out (or
+// finish decoding) what it needs first and keep no slice of the unit.
+// Builds tagged readoptdebug overwrite a unit as soon as the consumer
+// gives it up, so that a violation fails tests instead of corrupting
+// results.
 type Reader interface {
-	// Next returns the next buffer of file data. The buffer is valid
-	// until the following Next or Close call. It returns io.EOF after the
-	// last unit.
+	// Next returns the next buffer of file data, valid until the
+	// following Next or Close call. It returns io.EOF after the last
+	// unit.
 	Next() ([]byte, error)
-	// Close releases the reader's resources.
+	// Close releases the reader's resources, including the buffer the
+	// last Next returned. Closing an OSReader twice is harmless.
 	Close() error
 }
 

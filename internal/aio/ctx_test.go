@@ -23,7 +23,7 @@ func TestOSReaderCtxCancelStopsPrefetch(t *testing.T) {
 	defer f.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	r, err := NewOSReaderCtx(ctx, f, 4096, 2)
+	r, err := NewOSReaderSectionCtx(ctx, f, 4096, 2, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestOSReaderCtxPreCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, err := NewOSReaderCtx(ctx, f, 4096, 2)
+	r, err := NewOSReaderSectionCtx(ctx, f, 4096, 2, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

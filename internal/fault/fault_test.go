@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/readoptdb/readopt/internal/aio"
@@ -258,3 +261,113 @@ func TestChaosWrapIsNoOpWhenDisabled(t *testing.T) {
 		t.Fatal("ChaosEnabled should report true")
 	}
 }
+
+// TestRetryReaderDropsInnerWhenReopenFails: a transient error closes the
+// failed reader before the backoff and the reopen, either of which can
+// fail. The RetryReader must not keep the closed reader around for the
+// operator tree's Close to close again — on an aio.OSReader that was a
+// "close of closed channel" panic, and with pooled units it would return
+// every unit twice.
+func TestRetryReaderDropsInnerWhenReopenFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f")
+	if err := os.WriteFile(path, make([]byte, 3*4096), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	in := NewInjector(Config{Seed: 1, ReadErrRate: 1})
+	reopenErr := errors.New("reopen failed")
+	opens := 0
+	open := func(skip int64) (aio.Reader, error) {
+		if opens++; opens > 1 {
+			return nil, reopenErr
+		}
+		r, err := aio.NewOSReader(f, 4096, 2)
+		if err != nil {
+			return nil, err
+		}
+		return in.Wrap("f", skip, r), nil
+	}
+	r, err := NewRetryReader(open, 3, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); !errors.Is(err, reopenErr) {
+		t.Fatalf("Next = %v, want the reopen error", err)
+	}
+	if _, err := r.Next(); !errors.Is(err, fs.ErrClosed) {
+		t.Errorf("Next with no reader left = %v, want fs.ErrClosed", err)
+	}
+	if s := r.Stats(); s.Units != 0 {
+		t.Errorf("Stats with no reader left = %+v", s)
+	}
+	for i := 0; i < 2; i++ {
+		if err := r.Close(); err != nil {
+			t.Errorf("Close %d = %v", i+1, err)
+		}
+	}
+}
+
+// TestRetryReaderClosesEachReaderOnce counts Close calls across a retry
+// that succeeds: one per reader opened, none repeated by a second Close
+// of the RetryReader, and the closed readers' accounting kept.
+func TestRetryReaderClosesEachReaderOnce(t *testing.T) {
+	in := NewInjector(Config{Seed: 5, ReadErrRate: 1})
+	units := mkUnits(4)
+	var opened []*countingReader
+	open := func(skip int64) (aio.Reader, error) {
+		c := &countingReader{ScriptReader: ScriptReader{Units: units[skip/64:]}}
+		opened = append(opened, c)
+		return in.Wrap("tbl", skip, c), nil
+	}
+	r, err := NewRetryReader(open, 3, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range units {
+		if _, err := r.Next(); err != nil {
+			t.Fatalf("unit %d: %v", i, err)
+		}
+	}
+	r.Close()
+	r.Close()
+	if len(opened) < 2 {
+		t.Fatalf("%d readers opened, want a retry", len(opened))
+	}
+	var delivered int64
+	for i, c := range opened {
+		if c.closes != 1 {
+			t.Errorf("reader %d closed %d times, want once", i, c.closes)
+		}
+		delivered += c.stats.Units
+	}
+	if got := r.Stats().Units; got != delivered || got != int64(len(units)) {
+		t.Errorf("Stats().Units = %d after Close, readers delivered %d, want %d", got, delivered, len(units))
+	}
+}
+
+// countingReader is a ScriptReader that counts its Close calls and the
+// units it delivered.
+type countingReader struct {
+	ScriptReader
+	closes int
+	stats  aio.Stats
+}
+
+func (c *countingReader) Next() ([]byte, error) {
+	buf, err := c.ScriptReader.Next()
+	if err == nil {
+		c.stats.Units++
+	}
+	return buf, err
+}
+
+func (c *countingReader) Close() error {
+	c.closes++
+	return c.ScriptReader.Close()
+}
+
+func (c *countingReader) Stats() aio.Stats { return c.stats }

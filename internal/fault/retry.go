@@ -3,6 +3,7 @@ package fault
 import (
 	"context"
 	"io"
+	"io/fs"
 	"time"
 
 	"github.com/readoptdb/readopt/internal/aio"
@@ -64,6 +65,9 @@ func NewRetryReaderCtx(ctx context.Context, open OpenFunc, attempts int, b Backo
 
 // Next returns the next unit, transparently retrying transient errors.
 func (r *RetryReader) Next() ([]byte, error) {
+	if r.inner == nil {
+		return nil, fs.ErrClosed
+	}
 	for tries := 0; ; {
 		buf, err := r.inner.Next()
 		if err == nil {
@@ -77,8 +81,9 @@ func (r *RetryReader) Next() ([]byte, error) {
 		if Classify(err) != KindTransient || tries > r.attempts {
 			return nil, err
 		}
-		r.foldStats()
-		_ = r.inner.Close()
+		// Drop the failed reader before anything below can return: the
+		// operator tree's Close must not reach a reader closed here.
+		_ = r.Close() // the read error is what the caller sees
 		if serr := r.backoff.Sleep(r.ctx, r.clk, tries); serr != nil {
 			return nil, serr
 		}
@@ -90,20 +95,29 @@ func (r *RetryReader) Next() ([]byte, error) {
 	}
 }
 
-// Close closes the current inner reader.
-func (r *RetryReader) Close() error { return r.inner.Close() }
+// Close closes the current inner reader, keeping its accounting, and
+// forgets it; with no reader left — a failed retry dropped it, or Close
+// already ran — it does nothing.
+func (r *RetryReader) Close() error {
+	if r.inner == nil {
+		return nil
+	}
+	r.base.Add(r.innerStats())
+	err := r.inner.Close()
+	r.inner = nil
+	return err
+}
 
 // Stats folds the accounting of every reader this RetryReader has used.
 func (r *RetryReader) Stats() aio.Stats {
 	s := r.base
-	if in, ok := r.inner.(interface{ Stats() aio.Stats }); ok {
-		s.Add(in.Stats())
-	}
+	s.Add(r.innerStats())
 	return s
 }
 
-func (r *RetryReader) foldStats() {
+func (r *RetryReader) innerStats() aio.Stats {
 	if in, ok := r.inner.(interface{ Stats() aio.Stats }); ok {
-		r.base.Add(in.Stats())
+		return in.Stats()
 	}
+	return aio.Stats{}
 }

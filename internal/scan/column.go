@@ -164,19 +164,7 @@ func buildNodes(cfg *ColConfig, out *schema.Schema, preds map[int][]exec.Predica
 
 // evalNodePreds applies a node's predicates to a raw value.
 func (n *scanNode) evalNodePreds(v []byte, counters *cpumodel.Counters, costs cpumodel.Costs) bool {
-	for k := range n.preds {
-		counters.AddInstr(costs.Predicate)
-		var ok bool
-		if n.isInt {
-			ok = n.preds[k].EvalInt(int32(uint32(v[0]) | uint32(v[1])<<8 | uint32(v[2])<<16 | uint32(v[3])<<24))
-		} else {
-			ok = n.preds[k].EvalText(v)
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
+	return evalValue(n.preds, n.isInt, v, counters, costs.Predicate)
 }
 
 // ColScanner is the paper's pipelined column scanner: a series of scan

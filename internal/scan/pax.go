@@ -20,7 +20,7 @@ type PAXScanner struct {
 	cfg   RowConfig // same configuration shape as the row scanner
 	sch   *schema.Schema
 	out   *schema.Schema
-	preds map[int][]exec.Predicate
+	preds []attrPreds // in first-predicate order
 	pr    *page.PAXReader
 
 	block *exec.Block
@@ -34,11 +34,12 @@ type PAXScanner struct {
 	eof       bool
 	opened    bool
 
-	// Whole-page value arrays for predicate attributes and for
+	// Whole-page value arrays, indexed by attribute and nil for
+	// attributes fetched per qualifying row. needed lists the non-nil
+	// ones: predicate attributes in first-predicate order, then
 	// sequential-only (FOR-delta) projected attributes.
-	scratch   map[int][]byte
-	deltaProj []int
-	valBuf    []byte
+	scratch [][]byte
+	needed  []int
 }
 
 // NewPAXScanner builds a scanner over PAX pages from the row-scan
@@ -65,29 +66,25 @@ func NewPAXScanner(cfg RowConfig) (*PAXScanner, error) {
 		cfg:     cfg,
 		sch:     s,
 		out:     out,
-		preds:   preds,
+		preds:   orderPreds(s, cfg.Preds, preds),
 		pr:      pr,
 		block:   exec.NewBlock(out, cfg.BlockTuples),
-		scratch: make(map[int][]byte),
+		scratch: make([][]byte, s.NumAttrs()),
 	}
-	needFull := map[int]bool{}
-	for a := range preds {
-		needFull[a] = true
+	need := func(a int) {
+		if r.scratch[a] == nil {
+			r.scratch[a] = make([]byte, pr.Capacity()*s.Attrs[a].Type.Size)
+			r.needed = append(r.needed, a)
+		}
 	}
-	maxSize := 0
+	for _, g := range r.preds {
+		need(g.attr)
+	}
 	for _, a := range cfg.Proj {
 		if s.Attrs[a].Enc == schema.FORDelta {
-			r.deltaProj = append(r.deltaProj, a)
-			needFull[a] = true
-		}
-		if s.Attrs[a].Type.Size > maxSize {
-			maxSize = s.Attrs[a].Type.Size
+			need(a)
 		}
 	}
-	for a := range needFull {
-		r.scratch[a] = make([]byte, pr.Capacity()*s.Attrs[a].Type.Size)
-	}
-	r.valBuf = make([]byte, maxSize+4)
 	return r, nil
 }
 
@@ -157,8 +154,8 @@ func (r *PAXScanner) nextPage() error {
 
 	// Decode the needed-in-full attributes, charging only their
 	// minipages — this is PAX's memory advantage over the row layout.
-	for a, dst := range r.scratch {
-		if _, err := r.pr.DecodeAttr(r.pg, a, dst, r.sch.Attrs[a].Type.Size); err != nil {
+	for _, a := range r.needed {
+		if _, err := r.pr.DecodeAttr(r.pg, a, r.scratch[a], r.sch.Attrs[a].Type.Size); err != nil {
 			return err
 		}
 		r.cfg.Counters.AddSeq(int64(r.pr.MinipageBytes(a, r.pgCount)))
@@ -172,20 +169,10 @@ func (r *PAXScanner) nextPage() error {
 }
 
 func (r *PAXScanner) evalPreds(i int) bool {
-	for a, ps := range r.preds {
-		size := r.sch.Attrs[a].Type.Size
-		val := r.scratch[a][i*size : (i+1)*size]
-		for k := range ps {
-			r.cfg.Counters.AddInstr(r.cfg.Costs.Predicate)
-			var ok bool
-			if r.sch.Attrs[a].Type.Kind == schema.Int32 {
-				ok = ps[k].EvalInt(int32(uint32(val[0]) | uint32(val[1])<<8 | uint32(val[2])<<16 | uint32(val[3])<<24))
-			} else {
-				ok = ps[k].EvalText(val)
-			}
-			if !ok {
-				return false
-			}
+	for k := range r.preds {
+		g := &r.preds[k]
+		if !evalValue(g.preds, g.isInt, r.scratch[g.attr][i*g.size:(i+1)*g.size], r.cfg.Counters, r.cfg.Costs.Predicate) {
+			return false
 		}
 	}
 	return true
@@ -196,7 +183,7 @@ func (r *PAXScanner) project(i int, dst []byte) {
 	for k, a := range r.cfg.Proj {
 		size := r.sch.Attrs[a].Type.Size
 		out := dst[r.out.Offset(k) : r.out.Offset(k)+size]
-		if sc, ok := r.scratch[a]; ok {
+		if sc := r.scratch[a]; sc != nil {
 			copy(out, sc[i*size:(i+1)*size])
 		} else {
 			r.pr.ValueAt(r.pg, a, i, out)

@@ -95,3 +95,53 @@ func TestPAXScannerValidation(t *testing.T) {
 		t.Error("empty projection accepted")
 	}
 }
+
+// TestConjunctionCountersDeterministic: the row and PAX scanners
+// evaluate a multi-attribute conjunction in first-predicate order and
+// stop at the first failure, so the instructions charged for predicates
+// — and with them the whole Counters — are the same on every run. (They
+// used to follow Go's randomized map order.) The rows must still be the
+// reference's and the scalar column scanner's.
+func TestConjunctionCountersDeterministic(t *testing.T) {
+	for _, sch := range []*schema.Schema{schema.Orders(), schema.OrdersZ()} {
+		// The selective text predicate comes first; attribute order alone
+		// would evaluate the integer one first.
+		preds := append([]exec.Predicate{exec.TextPred(schema.OOrderStatus, exec.Eq, "F")}, selPred(sch, 0.5)...)
+		proj := []int{schema.OOrderKey, schema.OOrderStatus, schema.OTotalPrice}
+		want := reference(t, sch, preds, proj)
+		tbls, pax := loadBoth(t, sch), loadPAX(t, sch)
+
+		ccfg := colConfig(t, tbls.col, preds, proj, nil)
+		ccfg.Scalar = true
+		col, err := NewColScanner(ccfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := exec.Collect(col); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: scalar column scan differs from reference (err %v)", sch.Name, err)
+		}
+
+		scanners := map[string]func(*cpumodel.Counters) exec.Operator{
+			"row": func(c *cpumodel.Counters) exec.Operator { return newRow(t, tbls.row, preds, proj, c) },
+			"pax": func(c *cpumodel.Counters) exec.Operator { return newPAX(t, pax, preds, proj, c) },
+		}
+		for name, open := range scanners {
+			var first cpumodel.Counters
+			for run := 0; run < 20; run++ {
+				var c cpumodel.Counters
+				got, err := exec.Collect(open(&c))
+				if err != nil {
+					t.Fatalf("%s %s: %v", sch.Name, name, err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s %s: rows differ from reference", sch.Name, name)
+				}
+				if run == 0 {
+					first = c
+				} else if c != first {
+					t.Fatalf("%s %s: run %d counted %+v, run 0 counted %+v", sch.Name, name, run, c, first)
+				}
+			}
+		}
+	}
+}

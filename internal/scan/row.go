@@ -78,7 +78,8 @@ type RowScanner struct {
 	cfg    RowConfig
 	sch    *schema.Schema
 	out    *schema.Schema
-	preds  map[int][]exec.Predicate
+	preds  []attrPreds // in first-predicate order
+	comp   bool        // sch.Compressed(), which walks every attribute
 	codecs []compress.Codec
 	slots  []int // trailer base-slot per attribute, -1 if none
 	geo    page.Geometry
@@ -95,12 +96,14 @@ type RowScanner struct {
 	eof       bool
 	opened    bool
 
-	// Per-needed-attribute whole-page scratch (attr size × capacity),
-	// used for predicate attributes and FOR-delta projected attributes.
-	scratch     map[int][]byte
+	// Whole-page value arrays (attr size × capacity) of compressed
+	// tables, indexed by attribute and nil for attributes decoded per
+	// qualifying tuple. needed lists the non-nil ones: predicate
+	// attributes in first-predicate order, then FOR-delta projected
+	// attributes, which only decode as a running sum.
+	scratch     [][]byte
 	scratchBits []byte
-	predAttrs   []int // attributes with predicates, in first-pred order
-	deltaProj   []int // FOR-delta projected attributes needing full decode
+	needed      []int
 }
 
 // NewRowScanner builds a row scanner.
@@ -122,14 +125,15 @@ func NewRowScanner(cfg RowConfig) (*RowScanner, error) {
 		cfg:   cfg,
 		sch:   s,
 		out:   out,
-		preds: preds,
+		preds: orderPreds(s, cfg.Preds, preds),
+		comp:  s.Compressed(),
 		geo:   page.RowGeometry(s, cfg.PageSize),
 		block: exec.NewBlock(out, cfg.BlockTuples),
 	}
 	if err := r.geo.Validate(); err != nil {
 		return nil, err
 	}
-	if s.Compressed() {
+	if r.comp {
 		r.codecs = make([]compress.Codec, s.NumAttrs())
 		r.slots = make([]int, s.NumAttrs())
 		slot := 0
@@ -145,23 +149,24 @@ func NewRowScanner(cfg RowConfig) (*RowScanner, error) {
 				slot++
 			}
 		}
-		r.scratch = make(map[int][]byte)
-		needed := map[int]bool{}
-		for a := range preds {
-			needed[a] = true
-			r.predAttrs = append(r.predAttrs, a)
+		r.scratch = make([][]byte, s.NumAttrs())
+		maxBits := 0
+		need := func(a int) {
+			if r.scratch[a] != nil {
+				return
+			}
+			r.scratch[a] = make([]byte, r.geo.Capacity()*s.Attrs[a].Type.Size)
+			r.needed = append(r.needed, a)
+			if b := r.geo.Capacity() * s.CodeBits(a); b > maxBits {
+				maxBits = b
+			}
+		}
+		for _, g := range r.preds {
+			need(g.attr)
 		}
 		for _, a := range cfg.Proj {
 			if s.Attrs[a].Enc == schema.FORDelta {
-				r.deltaProj = append(r.deltaProj, a)
-				needed[a] = true
-			}
-		}
-		maxBits := 0
-		for a := range needed {
-			r.scratch[a] = make([]byte, r.geo.Capacity()*s.Attrs[a].Type.Size)
-			if b := r.geo.Capacity() * s.CodeBits(a); b > maxBits {
-				maxBits = b
+				need(a)
 			}
 		}
 		r.scratchBits = make([]byte, bitio.SizeBytes(maxBits))
@@ -235,7 +240,7 @@ func (r *RowScanner) nextPage() error {
 	r.cfg.Counters.AddPage()
 	// The row store streams every tuple byte through the cache.
 	r.cfg.Counters.AddSeq(int64(r.pgCount) * int64(r.geo.EntryBits/8))
-	if r.sch.Compressed() {
+	if r.comp {
 		if err := r.decodeNeeded(); err != nil {
 			return err
 		}
@@ -248,7 +253,8 @@ func (r *RowScanner) nextPage() error {
 func (r *RowScanner) decodeNeeded() error {
 	data := r.geo.Data(r.pg)
 	tupleBits := r.geo.EntryBits
-	for a, dst := range r.scratch {
+	for _, a := range r.needed {
+		dst := r.scratch[a]
 		bits := r.sch.CodeBits(a)
 		off := r.sch.BitOffset(a)
 		for i := 0; i < r.pgCount; i++ {
@@ -268,26 +274,16 @@ func (r *RowScanner) decodeNeeded() error {
 
 // evalPreds evaluates all predicates against tuple i of the current page.
 func (r *RowScanner) evalPreds(i int, rawTuple []byte) bool {
-	for a, ps := range r.preds {
+	for k := range r.preds {
+		g := &r.preds[k]
 		var val []byte
-		if r.sch.Compressed() {
-			size := r.sch.Attrs[a].Type.Size
-			val = r.scratch[a][i*size : (i+1)*size]
+		if r.comp {
+			val = r.scratch[g.attr][i*g.size : (i+1)*g.size]
 		} else {
-			off := r.sch.Offset(a)
-			val = rawTuple[off : off+r.sch.Attrs[a].Type.Size]
+			val = rawTuple[g.off : g.off+g.size]
 		}
-		for k := range ps {
-			r.cfg.Counters.AddInstr(r.cfg.Costs.Predicate)
-			var ok bool
-			if r.sch.Attrs[a].Type.Kind == schema.Int32 {
-				ok = ps[k].EvalInt(int32(uint32(val[0]) | uint32(val[1])<<8 | uint32(val[2])<<16 | uint32(val[3])<<24))
-			} else {
-				ok = ps[k].EvalText(val)
-			}
-			if !ok {
-				return false
-			}
+		if !evalValue(g.preds, g.isInt, val, r.cfg.Counters, r.cfg.Costs.Predicate) {
+			return false
 		}
 	}
 	return true
@@ -303,13 +299,11 @@ func (r *RowScanner) project(i int, rawTuple []byte, dst []byte) {
 		size := r.sch.Attrs[a].Type.Size
 		out := dst[r.out.Offset(k) : r.out.Offset(k)+size]
 		switch {
-		case !r.sch.Compressed():
+		case !r.comp:
 			off := r.sch.Offset(a)
 			copy(out, rawTuple[off:off+size])
-		case r.sch.Attrs[a].Enc == schema.FORDelta:
-			copy(out, r.scratch[a][i*size:(i+1)*size])
 		default:
-			if sc, ok := r.scratch[a]; ok {
+			if sc := r.scratch[a]; sc != nil {
 				copy(out, sc[i*size:(i+1)*size])
 			} else {
 				var base int32
@@ -343,7 +337,7 @@ func (r *RowScanner) Next() (*exec.Block, error) {
 			continue
 		}
 		var rawTuple []byte
-		if !r.sch.Compressed() {
+		if !r.comp {
 			stride := r.sch.StoredWidth()
 			data := r.geo.Data(r.pg)
 			rawTuple = data[r.pgPos*stride : r.pgPos*stride+r.sch.Width()]

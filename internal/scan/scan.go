@@ -49,6 +49,53 @@ func splitPreds(s *schema.Schema, preds []exec.Predicate) (map[int][]exec.Predic
 	return byAttr, nil
 }
 
+// attrPreds is one attribute's predicates with the lookups the row and
+// PAX scanners would otherwise repeat per tuple hoisted out.
+type attrPreds struct {
+	attr  int
+	preds []exec.Predicate
+	size  int  // decoded value size in bytes
+	off   int  // byte offset inside an uncompressed tuple
+	isInt bool // Int32 attribute: evaluate with EvalInt
+}
+
+// orderPreds flattens splitPreds' grouping into first-predicate order.
+// A fixed order makes short-circuit evaluation, and with it the
+// Costs.Predicate instruction count of a multi-attribute conjunction,
+// the same on every run, which ranging over the map is not.
+func orderPreds(s *schema.Schema, preds []exec.Predicate, byAttr map[int][]exec.Predicate) []attrPreds {
+	ordered := make([]attrPreds, 0, len(byAttr))
+	seen := make(map[int]bool, len(byAttr))
+	for i := range preds {
+		a := preds[i].Attr
+		if seen[a] {
+			continue
+		}
+		seen[a] = true
+		t := s.Attrs[a].Type
+		ordered = append(ordered, attrPreds{attr: a, preds: byAttr[a], size: t.Size, off: s.Offset(a), isInt: t.Kind == schema.Int32})
+	}
+	return ordered
+}
+
+// evalValue applies one attribute's predicates to a decoded value,
+// charging each evaluation and stopping at the first that fails.
+func evalValue(preds []exec.Predicate, isInt bool, v []byte, counters *cpumodel.Counters, cost int64) bool {
+	for k := range preds {
+		counters.AddInstr(cost)
+		var ok bool
+		if isInt {
+			ok = preds[k].EvalInt(int32(uint32(v[0]) | uint32(v[1])<<8 | uint32(v[2])<<16 | uint32(v[3])<<24))
+		} else {
+			ok = preds[k].EvalText(v)
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // projectSchema validates a projection and derives the output schema,
 // stripping encodings (scanners emit decoded tuples).
 func projectSchema(s *schema.Schema, proj []int) (*schema.Schema, error) {
