@@ -35,7 +35,7 @@ var ordersKs = []int{1, 2, 3, 4, 5, 6, 7}
 func (h *Harness) sweep(sys System, sch *schema.Schema, ks []int, sel float64, opts RunOpts) (Series, error) {
 	s := Series{Label: string(sys)}
 	for _, k := range ks {
-		pt, err := h.RunScan(sys, sch, Query{AttrsSelected: k, Selectivity: sel}, opts)
+		pt, err := h.cell(sys, sch, Query{AttrsSelected: k, Selectivity: sel}, opts)
 		if err != nil {
 			return Series{}, fmt.Errorf("%s k=%d: %w", sys, k, err)
 		}
@@ -237,11 +237,11 @@ func (h *Harness) Table1() ([]Trend, error) {
 	var trends []Trend
 
 	// Selecting more attributes (column store only).
-	a, err := h.RunScan(ColumnSystem, schema.Lineitem(), Query{AttrsSelected: 4, Selectivity: 0.10}, RunOpts{})
+	a, err := h.cell(ColumnSystem, schema.Lineitem(), Query{AttrsSelected: 4, Selectivity: 0.10}, RunOpts{})
 	if err != nil {
 		return nil, err
 	}
-	b, err := h.RunScan(ColumnSystem, schema.Lineitem(), Query{AttrsSelected: 12, Selectivity: 0.10}, RunOpts{})
+	b, err := h.cell(ColumnSystem, schema.Lineitem(), Query{AttrsSelected: 12, Selectivity: 0.10}, RunOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +253,7 @@ func (h *Harness) Table1() ([]Trend, error) {
 	})
 
 	// Decreased selectivity.
-	lo, err := h.RunScan(ColumnSystem, schema.Lineitem(), Query{AttrsSelected: 12, Selectivity: 0.001}, RunOpts{})
+	lo, err := h.cell(ColumnSystem, schema.Lineitem(), Query{AttrsSelected: 12, Selectivity: 0.001}, RunOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -265,11 +265,11 @@ func (h *Harness) Table1() ([]Trend, error) {
 	})
 
 	// Narrower tuples (LINEITEM -> ORDERS, full projection).
-	wide, err := h.RunScan(ColumnSystem, schema.Lineitem(), Query{AttrsSelected: 16, Selectivity: 0.10}, RunOpts{})
+	wide, err := h.cell(ColumnSystem, schema.Lineitem(), Query{AttrsSelected: 16, Selectivity: 0.10}, RunOpts{})
 	if err != nil {
 		return nil, err
 	}
-	narrow, err := h.RunScan(ColumnSystem, schema.Orders(), Query{AttrsSelected: 7, Selectivity: 0.10}, RunOpts{})
+	narrow, err := h.cell(ColumnSystem, schema.Orders(), Query{AttrsSelected: 7, Selectivity: 0.10}, RunOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +281,7 @@ func (h *Harness) Table1() ([]Trend, error) {
 	})
 
 	// Compression (ORDERS -> ORDERS-Z, full projection).
-	z, err := h.RunScan(ColumnSystem, schema.OrdersZ(), Query{AttrsSelected: 7, Selectivity: 0.10}, RunOpts{})
+	z, err := h.cell(ColumnSystem, schema.OrdersZ(), Query{AttrsSelected: 7, Selectivity: 0.10}, RunOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -293,11 +293,11 @@ func (h *Harness) Table1() ([]Trend, error) {
 	})
 
 	// Larger prefetch (elapsed improves; bytes unchanged).
-	small, err := h.RunScan(ColumnSystem, schema.Orders(), Query{AttrsSelected: 7, Selectivity: 0.10}, RunOpts{Depth: 2})
+	small, err := h.cell(ColumnSystem, schema.Orders(), Query{AttrsSelected: 7, Selectivity: 0.10}, RunOpts{Depth: 2})
 	if err != nil {
 		return nil, err
 	}
-	large, err := h.RunScan(ColumnSystem, schema.Orders(), Query{AttrsSelected: 7, Selectivity: 0.10}, RunOpts{Depth: 48})
+	large, err := h.cell(ColumnSystem, schema.Orders(), Query{AttrsSelected: 7, Selectivity: 0.10}, RunOpts{Depth: 48})
 	if err != nil {
 		return nil, err
 	}
@@ -310,7 +310,7 @@ func (h *Harness) Table1() ([]Trend, error) {
 
 	// More disk traffic.
 	alone := large
-	busy, err := h.RunScan(ColumnSystem, schema.Orders(), Query{AttrsSelected: 7, Selectivity: 0.10}, RunOpts{CompeteLineitem: true})
+	busy, err := h.cell(ColumnSystem, schema.Orders(), Query{AttrsSelected: 7, Selectivity: 0.10}, RunOpts{CompeteLineitem: true})
 	if err != nil {
 		return nil, err
 	}

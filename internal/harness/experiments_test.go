@@ -8,8 +8,10 @@ import (
 	"testing"
 )
 
-// sharedHarness caches one harness (and its measure-phase tables) across
-// the experiment tests.
+// sharedHarness caches one harness (and its measure-phase tables and
+// experiment cells) across the experiment tests. It runs at the default
+// measure scale, so the cells the shape tests run are the ones the
+// reproduction golden renders.
 var (
 	sharedOnce sync.Once
 	shared     *Harness
@@ -20,7 +22,6 @@ func testHarness(t *testing.T) *Harness {
 	t.Helper()
 	sharedOnce.Do(func() {
 		p := DefaultParams()
-		p.MeasureTuples = 100_000
 		dir, err := os.MkdirTemp("", "readopt-exp-test-")
 		if err != nil {
 			sharedErr = err

@@ -111,3 +111,71 @@ func WriteTable1(w io.Writer, trends []Trend) error {
 	fmt.Fprintln(w)
 	return nil
 }
+
+// ExperimentIDs lists the reproducible experiments in paper order.
+func ExperimentIDs() []string {
+	return []string{"fig2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "table1", "table2", "ext-pax"}
+}
+
+// WriteExperiment regenerates one experiment and renders it to w. Valid
+// ids are those of ExperimentIDs.
+func (h *Harness) WriteExperiment(w io.Writer, id string) error {
+	switch id {
+	case "fig2":
+		cells, err := h.Figure2()
+		if err != nil {
+			return err
+		}
+		return WriteFigure2(w, cells)
+	case "fig6", "fig7", "fig8", "fig9", "fig10", "ext-pax":
+		figures := map[string]func() (*Result, error){
+			"fig6": h.Figure6, "fig7": h.Figure7, "fig8": h.Figure8,
+			"fig9": h.Figure9, "fig10": h.Figure10, "ext-pax": h.ExtensionPAX,
+		}
+		res, err := figures[id]()
+		if err != nil {
+			return err
+		}
+		if err := WriteResult(w, res); err != nil {
+			return err
+		}
+		if id != "fig10" {
+			// The CPU breakdown is the point of most figures (and of the
+			// PAX extension); the prefetch sweep's CPU side is flat.
+			return WriteBreakdowns(w, res)
+		}
+		return nil
+	case "fig11":
+		panels, err := h.Figure11()
+		if err != nil {
+			return err
+		}
+		for _, res := range panels {
+			if err := WriteResult(w, res); err != nil {
+				return err
+			}
+		}
+		return nil
+	case "table1":
+		trends, err := h.Table1()
+		if err != nil {
+			return err
+		}
+		return WriteTable1(w, trends)
+	case "table2":
+		return WriteTable2(w, h.Table2())
+	default:
+		return fmt.Errorf("harness: unknown experiment %q (valid: %v)", id, ExperimentIDs())
+	}
+}
+
+// WriteAll regenerates every experiment in paper order — the text
+// checked in as results/experiments.txt.
+func (h *Harness) WriteAll(w io.Writer) error {
+	for _, id := range ExperimentIDs() {
+		if err := h.WriteExperiment(w, id); err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
+	}
+	return nil
+}

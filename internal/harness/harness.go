@@ -112,6 +112,7 @@ type Harness struct {
 	p      Params
 	dir    string
 	tables map[string]*store.Table // keyed by schema name + layout
+	cells  map[cellKey]Point       // experiment cells already run
 }
 
 // New prepares a harness, creating the data directory if needed.
@@ -127,7 +128,7 @@ func New(p Params) (*Harness, error) {
 		}
 		dir = d
 	}
-	return &Harness{p: p, dir: dir, tables: make(map[string]*store.Table)}, nil
+	return &Harness{p: p, dir: dir, tables: make(map[string]*store.Table), cells: make(map[cellKey]Point)}, nil
 }
 
 // Params returns the harness configuration.

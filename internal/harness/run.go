@@ -40,6 +40,34 @@ type RunOpts struct {
 	CompeteLineitem bool
 }
 
+// cellKey identifies one experiment cell; schema names are unique.
+type cellKey struct {
+	sys    System
+	schema string
+	q      Query
+	opts   RunOpts
+}
+
+// cell returns RunScan's point for an experiment cell, running it once
+// per harness: measurement and replay are deterministic, so figures that
+// share a cell (Figure 6, Table 1 and the PAX extension all scan
+// LINEITEM) reuse it instead of scanning again.
+func (h *Harness) cell(sys System, sch *schema.Schema, q Query, opts RunOpts) (Point, error) {
+	if opts.Depth <= 0 {
+		opts.Depth = h.p.PrefetchDepth // the default RunScan would pick
+	}
+	key := cellKey{sys: sys, schema: sch.Name, q: q, opts: opts}
+	if pt, ok := h.cells[key]; ok {
+		return pt, nil
+	}
+	pt, err := h.RunScan(sys, sch, q, opts)
+	if err != nil {
+		return Point{}, err
+	}
+	h.cells[key] = pt
+	return pt, nil
+}
+
 // RunScan measures and replays one experiment cell.
 func (h *Harness) RunScan(sys System, sch *schema.Schema, q Query, opts RunOpts) (Point, error) {
 	depth := opts.Depth

@@ -12,13 +12,7 @@ func TestSmokeFigure6Numbers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration smoke test")
 	}
-	p := DefaultParams()
-	p.MeasureTuples = 100_000
-	p.DataDir = t.TempDir()
-	h, err := New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := testHarness(t)
 	li := schema.Lineitem()
 	for _, k := range []int{1, 8, 12, 14, 16} {
 		q := Query{AttrsSelected: k, Selectivity: 0.10}
@@ -40,13 +34,7 @@ func TestSmokeOrdersFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration smoke test")
 	}
-	p := DefaultParams()
-	p.MeasureTuples = 100_000
-	p.DataDir = t.TempDir()
-	h, err := New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := testHarness(t)
 	for _, k := range []int{1, 4, 7} {
 		q := Query{AttrsSelected: k, Selectivity: 0.10}
 		row, _ := h.RunScan(RowSystem, schema.Orders(), q, RunOpts{})

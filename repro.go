@@ -1,7 +1,6 @@
 package readopt
 
 import (
-	"fmt"
 	"io"
 
 	"github.com/readoptdb/readopt/internal/harness"
@@ -44,79 +43,13 @@ func NewReproduction(opts ReproductionOptions) (*Reproduction, error) {
 }
 
 // FigureIDs lists the reproducible experiments in paper order.
-func FigureIDs() []string {
-	return []string{"fig2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "table1", "table2", "ext-pax"}
-}
+func FigureIDs() []string { return harness.ExperimentIDs() }
 
 // WriteFigure regenerates one experiment and renders it to w. Valid ids
 // are those of FigureIDs.
 func (r *Reproduction) WriteFigure(w io.Writer, id string) error {
-	switch id {
-	case "fig2":
-		cells, err := r.h.Figure2()
-		if err != nil {
-			return err
-		}
-		return harness.WriteFigure2(w, cells)
-	case "fig6", "fig7", "fig8", "fig9", "fig10", "ext-pax":
-		var res *harness.Result
-		var err error
-		switch id {
-		case "fig6":
-			res, err = r.h.Figure6()
-		case "fig7":
-			res, err = r.h.Figure7()
-		case "fig8":
-			res, err = r.h.Figure8()
-		case "fig9":
-			res, err = r.h.Figure9()
-		case "fig10":
-			res, err = r.h.Figure10()
-		case "ext-pax":
-			res, err = r.h.ExtensionPAX()
-		}
-		if err != nil {
-			return err
-		}
-		if err := harness.WriteResult(w, res); err != nil {
-			return err
-		}
-		if id != "fig10" {
-			// The CPU breakdown is the point of most figures (and of the
-			// PAX extension); the prefetch sweep's CPU side is flat.
-			return harness.WriteBreakdowns(w, res)
-		}
-		return nil
-	case "fig11":
-		panels, err := r.h.Figure11()
-		if err != nil {
-			return err
-		}
-		for _, res := range panels {
-			if err := harness.WriteResult(w, res); err != nil {
-				return err
-			}
-		}
-		return nil
-	case "table1":
-		trends, err := r.h.Table1()
-		if err != nil {
-			return err
-		}
-		return harness.WriteTable1(w, trends)
-	case "table2":
-		return harness.WriteTable2(w, r.h.Table2())
-	default:
-		return fmt.Errorf("readopt: unknown figure %q (valid: %v)", id, FigureIDs())
-	}
+	return r.h.WriteExperiment(w, id)
 }
 
 // WriteAll regenerates every experiment in paper order.
-func (r *Reproduction) WriteAll(w io.Writer) error {
-	for _, id := range FigureIDs() {
-		if err := r.WriteFigure(w, id); err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-	}
-	return nil
-}
+func (r *Reproduction) WriteAll(w io.Writer) error { return r.h.WriteAll(w) }
