@@ -8,6 +8,7 @@ import (
 
 	"github.com/readoptdb/readopt/internal/aio"
 	"github.com/readoptdb/readopt/internal/compress"
+	"github.com/readoptdb/readopt/internal/cpumodel"
 	"github.com/readoptdb/readopt/internal/exec"
 	"github.com/readoptdb/readopt/internal/fault"
 	"github.com/readoptdb/readopt/internal/page"
@@ -34,6 +35,7 @@ type diffTable struct {
 	sch   *schema.Schema
 	dicts map[int]*compress.Dictionary
 	rows  []byte           // raw tuples, sch.Width() bytes each
+	n     int64            // row count
 	pages map[int][][]byte // encoded pages per attribute
 }
 
@@ -41,10 +43,16 @@ type diffTable struct {
 // tuple) and encodes every attribute's column pages.
 func buildDiffTable(t *testing.T, sch *schema.Schema, dicts map[int]*compress.Dictionary, gen func(i int, rng *rand.Rand, tuple []byte)) *diffTable {
 	t.Helper()
+	return buildDiffTableRows(t, sch, dicts, diffRows, gen)
+}
+
+// buildDiffTableRows is buildDiffTable for n rows.
+func buildDiffTableRows(t testing.TB, sch *schema.Schema, dicts map[int]*compress.Dictionary, n int, gen func(i int, rng *rand.Rand, tuple []byte)) *diffTable {
+	t.Helper()
 	width := sch.Width()
-	rows := make([]byte, diffRows*width)
+	rows := make([]byte, n*width)
 	rng := rand.New(rand.NewSource(diffSeed))
-	for i := 0; i < diffRows; i++ {
+	for i := 0; i < n; i++ {
 		gen(i, rng, rows[i*width:(i+1)*width])
 	}
 	pages := map[int][][]byte{}
@@ -62,7 +70,7 @@ func buildDiffTable(t *testing.T, sch *schema.Schema, dicts map[int]*compress.Di
 			pgs = append(pgs, append([]byte(nil), pg...))
 		}
 		off := sch.Offset(a)
-		for i := 0; i < diffRows; i++ {
+		for i := 0; i < n; i++ {
 			b.Add(rows[i*width+off : i*width+off+attr.Type.Size])
 			if b.Full() {
 				flush()
@@ -73,11 +81,11 @@ func buildDiffTable(t *testing.T, sch *schema.Schema, dicts map[int]*compress.Di
 		}
 		pages[a] = pgs
 	}
-	return &diffTable{sch: sch, dicts: dicts, rows: rows, pages: pages}
+	return &diffTable{sch: sch, dicts: dicts, rows: rows, n: int64(n), pages: pages}
 }
 
 // reference computes the expected output over the raw tuples.
-func (d *diffTable) reference(t *testing.T, preds []exec.Predicate, proj []int, startRow, endRow int64) []byte {
+func (d *diffTable) reference(t testing.TB, preds []exec.Predicate, proj []int, startRow, endRow int64) []byte {
 	t.Helper()
 	for i := range preds {
 		if err := preds[i].Validate(d.sch); err != nil {
@@ -85,7 +93,7 @@ func (d *diffTable) reference(t *testing.T, preds []exec.Predicate, proj []int, 
 		}
 	}
 	if endRow <= 0 {
-		endRow = diffRows
+		endRow = d.n
 	}
 	width := d.sch.Width()
 	var out []byte
@@ -109,50 +117,89 @@ func (d *diffTable) reference(t *testing.T, preds []exec.Predicate, proj []int, 
 	return out
 }
 
-// scan runs one ColScanner over the in-memory pages and collects its
-// output. Ranged scans slice each column's pages to the section the
-// partition contract prescribes: streaming starts at the page containing
-// startRow for that column's geometry.
-func (d *diffTable) scan(t *testing.T, preds []exec.Predicate, proj []int, scalar bool, startRow, endRow int64) []byte {
-	t.Helper()
+// colRun is one ColScanner run over a diffTable's in-memory pages.
+type colRun struct {
+	preds      []exec.Predicate
+	proj       []int
+	scalar     bool
+	start, end int64 // row range; 0, 0 scans everything
+	// keep, when non-nil, is a zone-map keep set: it is clipped to the
+	// row range and each column reader delivers only the page section
+	// covering it, as the plan layer opens it.
+	keep []RowRange
+}
+
+// run executes one ColScanner over the in-memory pages and returns its
+// output and its Counters.
+func (d *diffTable) run(r colRun) ([]byte, cpumodel.Counters, error) {
+	var counters cpumodel.Counters
+	s, err := d.scanner(r, &counters)
+	if err != nil {
+		return nil, counters, err
+	}
+	got, err := exec.Collect(s)
+	return got, counters, err
+}
+
+// scanner builds the ColScanner of one run. Ranged scans slice each
+// column's pages to the section the partition contract prescribes:
+// streaming starts at the page containing start for that column's
+// geometry.
+func (d *diffTable) scanner(r colRun, counters *cpumodel.Counters) (*ColScanner, error) {
 	need := map[int]bool{}
-	for _, p := range preds {
+	for _, p := range r.preds {
 		need[p.Attr] = true
 	}
-	for _, a := range proj {
+	for _, a := range r.proj {
 		need[a] = true
 	}
+	keep := ClipKeep(r.keep, r.start, r.end)
 	readers := map[int]aio.Reader{}
+	var sections map[int]PageSection
+	if keep != nil {
+		sections = map[int]PageSection{}
+	}
 	for a := range need {
 		pgs := d.pages[a]
-		if startRow > 0 || endRow > 0 {
-			capacity := int64(page.ColGeometry(d.sch.Attrs[a], diffPageSize).Capacity())
-			lo := startRow / capacity
-			hi := int64(len(pgs))
-			if endRow > 0 {
-				hi = (endRow + capacity - 1) / capacity
-			}
-			pgs = pgs[lo:hi]
+		capacity := int64(page.ColGeometry(d.sch.Attrs[a], diffPageSize).Capacity())
+		lo, hi := r.start/capacity, int64(len(pgs))
+		if r.end > 0 {
+			hi = (r.end + capacity - 1) / capacity
 		}
-		units := make([][]byte, len(pgs))
-		copy(units, pgs)
+		if keep != nil {
+			if len(keep) > 0 {
+				lo = max(lo, keep[0].Lo/capacity)
+				hi = min(hi, (keep[len(keep)-1].Hi-1)/capacity+1)
+			} else {
+				hi = lo
+			}
+			sections[a] = PageSection{Start: lo, Pages: hi - lo}
+		}
+		units := make([][]byte, hi-lo)
+		copy(units, pgs[lo:hi])
 		readers[a] = &fault.ScriptReader{Units: units}
 	}
-	s, err := NewColScanner(ColConfig{
+	return NewColScanner(ColConfig{
 		Schema:   d.sch,
 		PageSize: diffPageSize,
 		Readers:  readers,
 		Dicts:    d.dicts,
-		Preds:    preds,
-		Proj:     proj,
-		StartRow: startRow,
-		EndRow:   endRow,
-		Scalar:   scalar,
+		Preds:    r.preds,
+		Proj:     r.proj,
+		Counters: counters,
+		StartRow: r.start,
+		EndRow:   r.end,
+		Keep:     keep,
+		Sections: sections,
+		Scalar:   r.scalar,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := exec.Collect(s)
+}
+
+// scan runs one ColScanner over the in-memory pages and collects its
+// output, failing the test on error.
+func (d *diffTable) scan(t *testing.T, preds []exec.Predicate, proj []int, scalar bool, startRow, endRow int64) []byte {
+	t.Helper()
+	got, _, err := d.run(colRun{preds: preds, proj: proj, scalar: scalar, start: startRow, end: endRow})
 	if err != nil {
 		t.Fatal(err)
 	}
