@@ -21,6 +21,12 @@ import (
 // over dictionary or packed-text codes) fall back to one batch decode of
 // the page followed by value-space evaluation, which still amortizes the
 // per-value call overhead the scalar path pays.
+//
+// The payload (attach) nodes are batched too: attachVec walks the
+// position list one payload page at a time and decodes each page's run
+// of qualifying positions once (colCursor.gatherPage) instead of one
+// codec call per position. The scalar drive keeps the per-position
+// attach as the reference.
 
 // kernOp converts the engine's comparison operator into the compress
 // package's mirror type (compress sits below exec and declares its own).
@@ -43,8 +49,8 @@ func kernOp(op exec.CmpOp) compress.CmpOp {
 
 // initVector sizes the deepest node's vectorized scratch: a code vector
 // and selection vector covering one page, and one CodeMatch per
-// predicate. Inner (attach) nodes stay scalar — they only probe
-// qualifying positions.
+// predicate. Inner (attach) nodes need none: attachVec decodes their
+// page runs into the decoded scratch every cursor already owns.
 func (c *ColScanner) initVector() {
 	n0 := c.nodes[0]
 	cur := n0.cur
